@@ -15,7 +15,12 @@ Canonicalisation sits on the consensus hot path (every proposal, vote and
 ledger block goes through it), so the common cases — bytes, str, small
 ints, tuples — dispatch through a per-type table instead of an isinstance
 cascade, with precomputed length prefixes and small-integer encodings.
-The produced bytes are identical to the original cascade's.
+Sequences go one step further: :func:`_canon_sequence` encodes exact
+``str``, ``bytes``, small non-negative ``int`` and nested ``tuple``/``list``
+items in its own loop, with no per-item call, and hands every other item
+to :func:`_canonical_bytes`.  The produced bytes are identical to those of
+the isinstance cascade in :func:`_canonical_bytes_slow`, which the tests
+use as the reference.
 """
 
 from __future__ import annotations
@@ -64,9 +69,28 @@ def _canon_none(value: None) -> bytes:
 def _canon_sequence(value: Any) -> bytes:
     parts = [b"T", _len_prefix(len(value))]
     append = parts.append
-    canonical = _canonical_bytes
     for item in value:
-        append(canonical(item))
+        # The item kinds protocol tuples are made of, encoded in this loop
+        # exactly as their ``_canon_*`` handlers would; anything else goes
+        # through ``_canonical_bytes``.
+        cls = item.__class__
+        if cls is str:
+            raw = item.encode("utf-8")
+            size = len(raw)
+            append(b"S")
+            append(_LEN_PREFIX[size] if size < _LEN_CACHED else size.to_bytes(8, "big"))
+            append(raw)
+        elif cls is bytes:
+            size = len(item)
+            append(b"B")
+            append(_LEN_PREFIX[size] if size < _LEN_CACHED else size.to_bytes(8, "big"))
+            append(item)
+        elif cls is int and 0 <= item < _INT_CACHED:
+            append(_INT_CACHE[item])
+        elif cls is tuple or cls is list:
+            append(_canon_sequence(item))
+        else:
+            append(_canonical_bytes(item))
     return b"".join(parts)
 
 

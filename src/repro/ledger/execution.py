@@ -11,11 +11,11 @@ of any earlier sequence number (ingredient I2, "safe rollbacks").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.crypto.hashing import digest
 from repro.ledger.blockchain import Blockchain
-from repro.ledger.store import ExecutionResult, KeyValueStore, UndoEntry
+from repro.ledger.store import KeyValueStore, UndoEntry
 from repro.workload.transactions import RequestBatch
 
 
@@ -33,12 +33,14 @@ def modelled_result_digest(sequence: int, batch: RequestBatch) -> bytes:
 class ExecutedBatch:
     """Record of one speculatively executed batch.
 
+    The per-transaction results are not kept: only their digest leaves a
+    replica (in INFORM messages), so retaining every result would hold
+    them in memory for the whole run with no reader.
+
     Attributes:
         sequence: consensus sequence number ``k``.
         view: view in which the batch was certified.
         batch: the executed request batch.
-        results: per-transaction execution results (empty if execution was
-            cost-modelled rather than applied).
         result_digest: digest of the results, included in INFORM messages.
         undo: undo entries needed to revert this batch.
     """
@@ -46,7 +48,6 @@ class ExecutedBatch:
     sequence: int
     view: int
     batch: RequestBatch
-    results: Tuple[ExecutionResult, ...]
     result_digest: bytes
     undo: List[UndoEntry] = field(default_factory=list)
 
@@ -99,14 +100,15 @@ class SpeculativeExecutor:
                 f"out-of-order execution: expected {self.last_executed_sequence + 1}, "
                 f"got {sequence}"
             )
-        results: List[ExecutionResult] = []
         undo: List[UndoEntry] = []
         if self.apply_operations:
+            apply = self.store.apply
+            result_digests = []
             for txn in batch.transactions:
-                result, txn_undo = self.store.apply(txn)
-                results.append(result)
+                result, txn_undo = apply(txn)
+                result_digests.append(result.digest())
                 undo.extend(txn_undo)
-            result_digest = digest("results", [r.digest() for r in results])
+            result_digest = digest("results", result_digests)
         else:
             result_digest = modelled_result_digest(sequence, batch)
         block = self.blockchain.append(
@@ -115,7 +117,7 @@ class SpeculativeExecutor:
         )
         record = ExecutedBatch(
             sequence=sequence, view=view, batch=batch,
-            results=tuple(results), result_digest=result_digest, undo=undo,
+            result_digest=result_digest, undo=undo,
         )
         self._executed[sequence] = record
         self.last_executed_sequence = sequence

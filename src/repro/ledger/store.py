@@ -10,11 +10,17 @@ uses to roll back speculation during a view-change.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import _canon_int, _canon_str, _len_prefix, digest
 from repro.workload.transactions import OpType, Transaction
+
+#: Encoding of the 4-tuple header and the ``"result"`` tag that open every
+#: result digest, and of the 2-tuple header that opens each read pair.
+_RESULT_HEAD = b"T" + _len_prefix(4) + _canon_str("result")
+_PAIR_HEAD = b"T" + _len_prefix(2)
 
 
 @dataclass(frozen=True)
@@ -32,16 +38,32 @@ class ExecutionResult:
     writes_applied: int = 0
 
     def digest(self) -> bytes:
-        return digest("result", self.txn_id, list(self.reads), self.writes_applied)
+        """``digest("result", txn_id, list(reads), writes_applied)``.
+
+        The shape never changes, so it is encoded here in one pass from
+        the hashing module's own primitives instead of through the generic
+        recursive encoder; the bytes hashed are the same.
+        """
+        parts = [_RESULT_HEAD, _canon_str(self.txn_id), b"T", _len_prefix(len(self.reads))]
+        for key, value in self.reads:
+            parts.append(_PAIR_HEAD)
+            parts.append(_canon_str(key))
+            parts.append(b"N" if value is None else _canon_str(value))
+        parts.append(_canon_int(self.writes_applied))
+        return hashlib.sha256(b"".join(parts)).digest()
 
 
-@dataclass
+@dataclass(slots=True)
 class UndoEntry:
     """Previous value of one key, captured before a write."""
 
     key: str
     previous_value: Optional[str]
     existed: bool
+
+
+#: Stands for an absent key, so one lookup tells whether a write overwrote.
+_MISSING = object()
 
 
 class KeyValueStore:
@@ -76,25 +98,21 @@ class KeyValueStore:
     # -- transaction execution ----------------------------------------------------
     def apply(self, transaction: Transaction) -> Tuple[ExecutionResult, List[UndoEntry]]:
         """Apply *transaction* and return its result plus undo entries."""
+        table = self._table
         reads: List[Tuple[str, Optional[str]]] = []
         undo: List[UndoEntry] = []
-        writes = 0
         for op in transaction.operations:
+            key = op.key
             if op.op_type is OpType.READ:
-                reads.append((op.key, self._table.get(op.key)))
+                reads.append((key, table.get(key)))
             elif op.op_type is OpType.WRITE:
-                undo.append(
-                    UndoEntry(
-                        key=op.key,
-                        previous_value=self._table.get(op.key),
-                        existed=op.key in self._table,
-                    )
-                )
-                self._table[op.key] = op.value if op.value is not None else ""
-                writes += 1
+                previous = table.get(key, _MISSING)
+                existed = previous is not _MISSING
+                undo.append(UndoEntry(key, previous if existed else None, existed))
+                table[key] = op.value if op.value is not None else ""
         self.applied_transactions += 1
         result = ExecutionResult(
-            txn_id=transaction.txn_id, reads=tuple(reads), writes_applied=writes
+            txn_id=transaction.txn_id, reads=tuple(reads), writes_applied=len(undo)
         )
         return result, undo
 

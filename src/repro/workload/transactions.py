@@ -22,7 +22,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import _canonical_bytes, digest
 from repro.crypto.signatures import Signature
 
 
@@ -55,8 +55,9 @@ class Operation:
     value: Optional[str] = None
 
     def canonical_bytes(self) -> bytes:
-        value = self.value if self.value is not None else ""
-        return f"{self.op_type.value}|{self.key}|{value}".encode("utf-8")
+        # Length-prefixed, so no key or value can shift bytes into the
+        # neighbouring field and make two write sets encode alike.
+        return _canonical_bytes((self.op_type.value, self.key, self.value))
 
     def shard(self, num_shards: int) -> int:
         """The consensus group this operation's key routes to."""
@@ -96,6 +97,18 @@ class Transaction:
 
     def canonical_bytes(self) -> bytes:
         return self.digest()
+
+    def with_signature(self, signature: Signature) -> "Transaction":
+        """This transaction carrying *signature*.
+
+        The digest does not cover the signature, so the copy keeps this
+        transaction's memoised digest instead of hashing it again.
+        """
+        signed = Transaction(txn_id=self.txn_id, client_id=self.client_id,
+                             operations=self.operations, signature=signature,
+                             created_at_ms=self.created_at_ms)
+        object.__setattr__(signed, "_digest", self.digest())
+        return signed
 
     def touched_shards(self, num_shards: int) -> Tuple[int, ...]:
         """Sorted distinct shards this transaction's keys route to.

@@ -101,13 +101,7 @@ class YcsbWorkload:
             created_at_ms=created_at_ms,
         )
         if self.auth is not None:
-            transaction = Transaction(
-                txn_id=transaction.txn_id,
-                client_id=transaction.client_id,
-                operations=transaction.operations,
-                signature=self.auth.sign(transaction.digest()),
-                created_at_ms=created_at_ms,
-            )
+            transaction = transaction.with_signature(self.auth.sign(transaction.digest()))
         return transaction
 
     def next_batch(self, batch_size: int, created_at_ms: float = 0.0) -> RequestBatch:
@@ -126,10 +120,6 @@ class YcsbWorkload:
             yield self.next_batch(batch_size)
 
     # -- sharded generation ---------------------------------------------------------
-    def shard_of(self, key: str, num_shards: int) -> int:
-        """Where *key* routes in an *num_shards*-group deployment."""
-        return shard_of_key(key, num_shards)
-
     def next_transaction_in_shard(self, shard: int, num_shards: int,
                                   created_at_ms: float = 0.0) -> Transaction:
         """Generate a transaction whose every key routes to *shard*.

@@ -1,8 +1,19 @@
 """Tests for repro.crypto.hashing: canonical digests over structured values."""
 
-from hypothesis import given, strategies as st
+import enum
+import hashlib
 
-from repro.crypto.hashing import chain_hash, digest, digest_hex
+from hypothesis import example, given, strategies as st
+
+from repro.crypto.hashing import (
+    _canon_sequence,
+    _canonical_bytes_slow,
+    _len_prefix,
+    chain_hash,
+    digest,
+    digest_hex,
+)
+from repro.ledger.store import ExecutionResult
 
 
 class TestDigestBasics:
@@ -80,3 +91,67 @@ def test_distinct_strings_rarely_collide(a, b):
     """Distinct inputs produce distinct digests (collision resistance proxy)."""
     if a != b:
         assert digest(a) != digest(b)
+
+
+class _Level(enum.IntEnum):
+    LOW = 7
+    HIGH = 5000
+
+
+class _Name(str):
+    """A ``str`` subclass: must encode like the plain string it holds."""
+
+
+def _reference(value):
+    """The canonical encoding with no fast path: sequences and dicts
+    recurse here, every other value goes through the isinstance cascade."""
+    if isinstance(value, (tuple, list)):
+        return b"T" + _len_prefix(len(value)) + b"".join(_reference(v) for v in value)
+    if isinstance(value, dict):
+        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
+        return b"D" + _len_prefix(len(items)) + b"".join(
+            _reference(k) + _reference(v) for k, v in items)
+    return _canonical_bytes_slow(value)
+
+
+_LEAVES = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=4096, max_value=10**30),
+    st.sampled_from(list(_Level)),
+    st.text(),
+    st.text().map(_Name),
+    st.binary(max_size=64),
+    st.binary(min_size=512, max_size=600),
+    st.floats(allow_nan=False),
+    st.none(),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@example([True, 1, False, 0, -3, 4096, _Level.LOW, _Level.HIGH, "é✓", _Name("user1"),
+          b"z" * 512, "s" * 600, {"k": [1, ("x", b"y")], "j": {}}, (), []])
+@given(st.lists(_VALUES, max_size=8))
+def test_sequence_fast_loop_matches_reference_encoding(values):
+    """The inlined sequence loop is byte-identical to the cascade."""
+    assert _canon_sequence(values) == _reference(values)
+    assert _canon_sequence(tuple(values)) == _reference(tuple(values))
+    assert digest(*values) == hashlib.sha256(_reference(tuple(values))).digest()
+
+
+@example("t", [], 0)
+@example("t", [("k", None), ("k2", "")], 1)
+@given(st.text(), st.lists(st.tuples(st.text(), st.none() | st.text()), max_size=5),
+       st.integers(min_value=0, max_value=10**6))
+def test_execution_result_digest_matches_generic_encoding(txn_id, reads, writes):
+    """The one-pass result encoding hashes what the generic encoder would."""
+    result = ExecutionResult(txn_id=txn_id, reads=tuple(reads), writes_applied=writes)
+    assert result.digest() == digest("result", txn_id, list(reads), writes)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.authenticator import make_authenticators
+from repro.crypto.hashing import digest
 from repro.workload.transactions import (
+    Operation,
     OpType,
     RequestBatch,
     Transaction,
@@ -90,6 +92,41 @@ class TestYcsbWorkload:
         txn = workload.next_transaction()
         assert txn.signature is not None
         assert auths["replica:0"].verify(txn.signature, txn.digest())
+
+    def test_signed_transactions_are_hashed_once(self):
+        auths = make_authenticators(["replica:0", "replica:1", "replica:2",
+                                     "replica:3"], ["client:0"], seed=b"ycsb")
+        workload = YcsbWorkload(YcsbConfig(num_records=100, write_fraction=0.5),
+                                client_id="client:0", authenticator=auths["client:0"])
+        scheme = auths["replica:1"].signatures
+        for txn in workload.next_batch(50).transactions:
+            # The digest hashed before signing travels with the signed copy.
+            memo = txn.__dict__["_digest"]
+            rebuilt = Transaction(txn_id=txn.txn_id, client_id=txn.client_id,
+                                  operations=txn.operations, signature=txn.signature,
+                                  created_at_ms=txn.created_at_ms)
+            assert memo == rebuilt.digest()
+            assert txn.signature.payload_digest == digest(txn.digest())
+            assert scheme.verify(txn.signature, txn.digest())
+
+    def test_transaction_digest_ignores_signature(self):
+        auths = make_authenticators(["replica:0"], ["client:0"], seed=b"ycsb")
+        unsigned = Transaction(txn_id="t", client_id="client:0",
+                               operations=(Operation(OpType.WRITE, "k", "v"),))
+        signature = auths["client:0"].sign(b"anything")
+        signed = Transaction(txn_id="t", client_id="client:0",
+                             operations=unsigned.operations, signature=signature)
+        assert signed.digest() == unsigned.digest()
+        assert unsigned.with_signature(signature) == signed
+        assert unsigned.with_signature(signature).digest() == signed.digest()
+
+    def test_digest_binds_the_write_set(self):
+        """A separator inside a key or value cannot shift bytes between fields."""
+        a = Transaction(txn_id="t", client_id="c",
+                        operations=(Operation(OpType.WRITE, "user1", "x|y"),))
+        b = Transaction(txn_id="t", client_id="c",
+                        operations=(Operation(OpType.WRITE, "user1|x", "y"),))
+        assert a.digest() != b.digest()
 
 
 class TestBatches:
