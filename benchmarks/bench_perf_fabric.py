@@ -17,16 +17,11 @@ or through pytest like the figure benchmarks.  Standalone extras:
 
 * ``--profile PROTOCOL:N`` — cProfile one row and print the top-25
   cumulative entries (the hot list for the next perf PR); sharded row
-  labels work too (``--profile poe-2sh-x20:4`` profiles the sequential
-  sharded run, N = replicas per shard, and appends the per-shard
-  ``processed_events`` breakdown);
+  labels work too (``--profile poe-2sh-x20:4`` profiles the sharded run,
+  N = replicas per shard, and appends the per-shard ``processed_events``
+  breakdown);
 * ``--shards K`` — measure only the sharded rows with K PoE consensus
   groups (cross-shard fractions 0.0 and 0.2) and exit;
-* ``--parallel`` — same-host sequential-vs-parallel comparison over the
-  sharded rows (2/4/8 shards, one worker process per shard): asserts the
-  per-shard event counts are driver-identical and prints the wall-clock
-  speedup per row.  Real speedups need real cores — on a single-core
-  host the workers time-slice and the row degrades to IPC overhead;
 * ``--compare BASELINE.json`` — same-host HEAD-vs-baseline delta mode:
   run the suite, print per-row speedups against the recorded baseline
   and do **not** overwrite it (wall-clock numbers are host-relative, so
@@ -48,7 +43,6 @@ from repro.bench.perf import (
     check_processed_events,
     compare_reports,
     current_perf_scale,
-    measure_parallel_speedup,
     measure_sharded_cluster,
     profile_row,
     run_suite,
@@ -133,9 +127,6 @@ def main(argv=None) -> int:
                              "shards (cross-shard fractions 0.0 and 0.2) "
                              "and exit — the local-iteration shortcut for "
                              "multi-group perf work")
-    parser.add_argument("--parallel", action="store_true",
-                        help="same-host sequential-vs-parallel driver "
-                             "comparison over the sharded rows and exit")
     parser.add_argument("--compare", metavar="BASELINE.json",
                         help="delta mode: compare against a recorded report "
                              "instead of overwriting it")
@@ -154,25 +145,6 @@ def main(argv=None) -> int:
             parser.error("--profile expects PROTOCOL:N, e.g. poe-mac:32 "
                          "or poe-2sh-x20:4")
         print(profile_row(protocol, int(n)))
-        return 0
-
-    if args.parallel:
-        comparison = measure_parallel_speedup()
-        print(f"host cores: {comparison['cpu_count']} "
-              "(parallel wins need >1 — single-core hosts time-slice "
-              "the shard workers)")
-        print_results(
-            "Sequential vs parallel sharded driver (same host, "
-            f"{comparison['protocol']})",
-            comparison["rows"],
-            columns=("row", "num_shards", "processed_events",
-                     "sequential_events_per_wall_sec",
-                     "parallel_events_per_wall_sec", "speedup",
-                     "behaviour_unchanged"))
-        if not comparison["behaviour_unchanged"]:
-            print("PARALLEL DRIVER BEHAVIOUR DRIFT: per-shard event counts "
-                  "differ between drivers")
-            return 1
         return 0
 
     if args.shards is not None:

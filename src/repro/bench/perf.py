@@ -49,10 +49,8 @@ from repro.net.simulator import Simulator
 #: Version 3 added the sharded rows: multi-group clusters with cross-shard
 #: 2PC, reported under synthetic protocol labels like ``poe-2sh-x20``
 #: (two PoE shards, 20% cross-shard transactions).
-#: Version 4 records, on every sharded row, the ``driver`` that executed
-#: it (``sequential`` in-process vs ``parallel`` worker processes) and the
-#: per-shard ``shard_processed_events`` breakdown; the parallel compare
-#: mode (``measure_parallel_speedup``) emits rows of both drivers.
+#: Version 4 records, on every sharded row, the per-shard
+#: ``shard_processed_events`` breakdown.
 SCHEMA_VERSION = 4
 
 #: Default output file name; the benchmark driver writes it at the repo root.
@@ -270,8 +268,7 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
                             cross_shard_fraction: float, total_batches: int,
                             num_replicas: int = 4, batch_size: int = 16,
                             num_pools: int = 1, client_outstanding: int = 4,
-                            seed: int = 3, repeats: int = 2,
-                            driver: str = "sequential") -> Dict[str, object]:
+                            seed: int = 3, repeats: int = 2) -> Dict[str, object]:
     """Wall-clock cost of one multi-group run with cross-shard 2PC.
 
     Mirrors :func:`measure_cluster` (best-of-*repeats*, with the same
@@ -279,10 +276,7 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
     *num_shards* consensus groups of *protocol*, each on its own
     per-shard simulator, with *cross_shard_fraction* of the client
     batches spanning two shards.  ``n`` reports the total replica count
-    across all shards.  *driver* picks the execution engine —
-    ``"sequential"`` advances the shard runtimes in-process,
-    ``"parallel"`` forks one worker per shard; event counts and virtual
-    clocks are identical either way, only wall time differs.
+    across all shards.
     """
     from repro.fabric.sharding import ShardedCluster, ShardedClusterConfig
 
@@ -297,31 +291,22 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
             total_batches=total_batches,
             cross_shard_fraction=cross_shard_fraction, seed=seed,
         )
-        if driver == "parallel":
-            from repro.fabric.parallel import run_parallel
-
-            start = time.perf_counter()
-            run = run_parallel(config, record_wire=False)
-            wall = time.perf_counter() - start
-        elif driver == "sequential":
-            run = ShardedCluster(config)
-            run.start()
-            start = time.perf_counter()
-            run.run_until_done()
-            wall = time.perf_counter() - start
-        else:
-            raise ValueError(f"unknown driver {driver!r}")
-        shard_events = tuple(run.shard_processed_events)
-        completed = sum(pool.completed_txns for pool in run.pools)
-        virtual_ms = run.now
+        cluster = ShardedCluster(config)
+        cluster.start()
+        start = time.perf_counter()
+        cluster.run_until_done()
+        wall = time.perf_counter() - start
+        shard_events = tuple(cluster.shard_processed_events)
+        completed = sum(pool.completed_txns for pool in cluster.pools)
+        virtual_ms = cluster.now
         signature = (shard_events, completed, virtual_ms)
         if reference is None:
             reference = signature
-            throughput = run.result().throughput_txn_per_s
+            throughput = cluster.result().throughput_txn_per_s
         elif signature != reference:
             raise AssertionError(
                 f"non-deterministic sharded run for {protocol} "
-                f"shards={num_shards} driver={driver}: "
+                f"shards={num_shards}: "
                 f"{signature} != {reference}")
         if wall < best_wall:
             best_wall = wall
@@ -336,7 +321,6 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
         "batch_size": batch_size,
         "total_batches": total_batches,
         "seed": seed,
-        "driver": driver,
         "wall_s": round(best_wall, 4),
         "processed_events": events,
         "shard_processed_events": list(shard_events),
@@ -345,63 +329,6 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
         "txns_per_wall_sec": round(completed_txns / best_wall, 1),
         "virtual_ms": round(virtual_ms, 3),
         "virtual_throughput_txn_per_s": round(throughput, 1),
-    }
-
-
-#: Rows for the ``--parallel`` same-host comparison: (num_shards,
-#: total_batches).  Pools and outstanding are boosted so each shard
-#: carries enough events for the per-window pipe round-trips to
-#: amortise; parallel wins require real cores — a single-core host
-#: (common in CI sandboxes) runs the workers time-sliced and the
-#: comparison degrades to measuring IPC overhead.
-PARALLEL_COMPARE_ROWS: Tuple[Tuple[int, int], ...] = ((2, 40), (4, 40), (8, 40))
-
-
-def measure_parallel_speedup(
-        protocol: str = "poe-mac",
-        rows: Sequence[Tuple[int, int]] = PARALLEL_COMPARE_ROWS,
-        cross_shard_fraction: float = 0.2,
-        num_pools: int = 4, client_outstanding: int = 8,
-        repeats: int = 2) -> Dict[str, object]:
-    """Same-host sequential-vs-parallel comparison over sharded rows.
-
-    For each (num_shards, total_batches) row, runs the identical config
-    under both drivers and reports the wall-clock speedup.  Hard-fails if
-    the per-shard event counts differ — a parallel run that changes what
-    the shards *do* is a bug, not a speedup.
-    """
-    comparisons: List[Dict[str, object]] = []
-    behaviour_ok = True
-    for num_shards, total_batches in rows:
-        kwargs = dict(
-            cross_shard_fraction=cross_shard_fraction,
-            total_batches=total_batches, num_pools=num_pools,
-            client_outstanding=client_outstanding, repeats=repeats,
-        )
-        sequential = measure_sharded_cluster(
-            protocol, num_shards, driver="sequential", **kwargs)
-        parallel = measure_sharded_cluster(
-            protocol, num_shards, driver="parallel", **kwargs)
-        unchanged = (sequential["shard_processed_events"]
-                     == parallel["shard_processed_events"])
-        behaviour_ok = behaviour_ok and unchanged
-        comparisons.append({
-            "row": row_key(sequential),
-            "num_shards": num_shards,
-            "behaviour_unchanged": unchanged,
-            "processed_events": sequential["processed_events"],
-            "shard_processed_events": sequential["shard_processed_events"],
-            "sequential_wall_s": sequential["wall_s"],
-            "parallel_wall_s": parallel["wall_s"],
-            "sequential_events_per_wall_sec": sequential["events_per_wall_sec"],
-            "parallel_events_per_wall_sec": parallel["events_per_wall_sec"],
-            "speedup": round(sequential["wall_s"] / parallel["wall_s"], 3),
-        })
-    return {
-        "protocol": protocol,
-        "cpu_count": os.cpu_count(),
-        "behaviour_unchanged": behaviour_ok,
-        "rows": comparisons,
     }
 
 
@@ -565,9 +492,8 @@ def profile_row(protocol: str, num_replicas: int,
     suite uses for this (protocol, n) row.
 
     *protocol* also accepts a sharded row label (``poe-2sh-x20``); the
-    profile then covers a sequential sharded run — the per-shard event
-    loops plus the 2PC/boundary plumbing, i.e. exactly the work one
-    parallel worker would execute — with *num_replicas* read as the
+    profile then covers a sharded run — the per-shard event loops plus
+    the 2PC/boundary plumbing — with *num_replicas* read as the
     per-shard replica count, and appends the per-shard
     ``processed_events`` breakdown so hot-spot reads can be weighted by
     where the events actually ran.

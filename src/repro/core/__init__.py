@@ -27,7 +27,6 @@ from repro.core.replica import PoeReplica
 from repro.core.client import PoeClientPool
 from repro.core.view_change import (
     longest_consecutive_prefix,
-    select_new_view_state,
     validate_view_change_request,
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "PoeReplica",
     "PoeClientPool",
     "longest_consecutive_prefix",
-    "select_new_view_state",
     "validate_view_change_request",
 ]

@@ -19,7 +19,7 @@ from repro.crypto.authenticator import Authenticator
 from repro.crypto.hashing import digest
 
 if TYPE_CHECKING:  # imported lazily: protocols import this module at load time
-    from repro.core.messages import CertifiedEntry, PoeNewView, PoeViewChangeRequest
+    from repro.core.messages import CertifiedEntry, PoeViewChangeRequest
 
 
 def proposal_digest(sequence: int, view: int, batch_digest: bytes) -> bytes:
@@ -171,13 +171,6 @@ def _best_supported_entry(
         if getattr(entry, "commit_certificate", None) is not None:
             return entry
     return entries[0]
-
-
-def select_new_view_state(
-    new_view: PoeNewView,
-) -> Tuple[Dict[int, CertifiedEntry], int]:
-    """Convenience wrapper applying :func:`longest_consecutive_prefix` to a NV-PROPOSE."""
-    return longest_consecutive_prefix(new_view.requests)
 
 
 class SpeculativeAnchor(NamedTuple):

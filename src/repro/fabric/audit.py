@@ -29,7 +29,7 @@ scenario matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.protocols.checkpoint import CheckpointMessage
 from repro.protocols.client_messages import ClientReplyMessage
@@ -208,70 +208,29 @@ def check_replica_state(honest: List[object],
     return violations
 
 
-class WireRecord:
-    """Picklable wire observations backing :class:`SafetyAuditor`.
-
-    The recording logic lives here — not on the auditor — so a worker
-    process can attach a bare recorder to its shard network, ship it back
-    as part of the run artifacts, and have the parent construct an
-    auditor *around* the recorded dicts (``SafetyAuditor(..., wire=...)``)
-    that audits exactly as if it had observed the run live.
-    """
-
-    def __init__(self, pool_ids: Iterable[str] = ()) -> None:
-        self.pool_ids: Set[str] = set(pool_ids)
-        #: (pool_id, batch_id) -> matching_key -> sender -> first delivery
-        #: time.  Timestamped so the inform-quorum check can count the
-        #: replies the pool had *when it completed* — late replies that
-        #: keep trickling in after completion must not retroactively
-        #: justify a completion the quorum rule did not cover.
-        self.reply_votes: Dict[Tuple[str, str], Dict[tuple, Dict[str, float]]] = {}
-        #: (pool_id, batch_id) -> distinct senders of local-commit acks.
-        self.commit_acks: Dict[Tuple[str, str], Set[str]] = {}
-        #: (sequence, state_digest) -> distinct transport-level senders of
-        #: checkpoint votes, counted from the wire: the ground truth any
-        #: installed state transfer must be vouched by.
-        self.checkpoint_votes: Dict[Tuple[int, bytes], Set[str]] = {}
-
-    def observe(self, sender: str, receiver: str, message, time_ms: float) -> None:
-        if receiver not in self.pool_ids:
-            if isinstance(message, CheckpointMessage):
-                self.checkpoint_votes.setdefault(
-                    (message.sequence, message.state_digest), set()).add(sender)
-            return
-        if isinstance(message, ClientReplyMessage):
-            votes = self.reply_votes.setdefault((receiver, message.batch_id), {})
-            votes.setdefault(message.matching_key(), {}).setdefault(
-                sender, time_ms)
-        elif isinstance(message, ZyzzyvaLocalCommit):
-            self.commit_acks.setdefault(
-                (receiver, message.batch_id), set()).add(sender)
-
-
 class SafetyAuditor:
     """Audits one cluster run; attach before ``cluster.start()``.
 
     The auditor records every client-bound reply the network delivers
     (via a message observer) so the inform-quorum check is grounded in
     what actually crossed the wire, not in client bookkeeping.
-
-    With ``wire=`` the auditor instead adopts a :class:`WireRecord`
-    collected elsewhere (a parallel worker) and runs the wire-grounded
-    checks over it; *cluster* may then be any object exposing the same
-    attributes (``replicas``, ``pools``, ``spec``, ``node_config``,
-    ``byzantine_ids``).
     """
 
-    def __init__(self, cluster, observe: bool = True,
-                 wire: Optional[WireRecord] = None) -> None:
+    def __init__(self, cluster, observe: bool = True) -> None:
         self.cluster = cluster
-        self._wire = wire if wire is not None else WireRecord(
-            pool.node_id for pool in cluster.pools)
-        # Aliases onto the recorder's dicts (shared objects, not copies).
-        self._reply_votes = self._wire.reply_votes
-        self._commit_acks = self._wire.commit_acks
-        self._checkpoint_votes = self._wire.checkpoint_votes
-        self._pool_ids = self._wire.pool_ids
+        self._pool_ids: Set[str] = {pool.node_id for pool in cluster.pools}
+        #: (pool_id, batch_id) -> matching_key -> sender -> first delivery
+        #: time.  Timestamped so the inform-quorum check can count the
+        #: replies the pool had *when it completed* — late replies that
+        #: keep trickling in after completion must not retroactively
+        #: justify a completion the quorum rule did not cover.
+        self._reply_votes: Dict[Tuple[str, str], Dict[tuple, Dict[str, float]]] = {}
+        #: (pool_id, batch_id) -> distinct senders of local-commit acks.
+        self._commit_acks: Dict[Tuple[str, str], Set[str]] = {}
+        #: (sequence, state_digest) -> distinct transport-level senders of
+        #: checkpoint votes, counted from the wire: the ground truth any
+        #: installed state transfer must be vouched by.
+        self._checkpoint_votes: Dict[Tuple[int, bytes], Set[str]] = {}
         #: Per-pool completion rule captured at attach time (base quorum
         #: plus the per-epoch quorum function): the auditor re-derives
         #: per-epoch inform quorums itself, so reverting the pools'
@@ -280,7 +239,7 @@ class SafetyAuditor:
             pool.node_id: (pool.completion_quorum,
                            getattr(pool, "completion_quorum_fn", None))
             for pool in cluster.pools}
-        self._observing = observe or wire is not None
+        self._observing = observe
         if observe:
             cluster.network.add_observer(self._observe)
 
@@ -291,7 +250,18 @@ class SafetyAuditor:
 
     # ----------------------------------------------------------- observation
     def _observe(self, sender: str, receiver: str, message, time_ms: float) -> None:
-        self._wire.observe(sender, receiver, message, time_ms)
+        if receiver not in self._pool_ids:
+            if isinstance(message, CheckpointMessage):
+                self._checkpoint_votes.setdefault(
+                    (message.sequence, message.state_digest), set()).add(sender)
+            return
+        if isinstance(message, ClientReplyMessage):
+            votes = self._reply_votes.setdefault((receiver, message.batch_id), {})
+            votes.setdefault(message.matching_key(), {}).setdefault(
+                sender, time_ms)
+        elif isinstance(message, ZyzzyvaLocalCommit):
+            self._commit_acks.setdefault(
+                (receiver, message.batch_id), set()).add(sender)
 
     # ----------------------------------------------------------------- audit
     def _honest_live_replicas(self) -> List[object]:
@@ -508,27 +478,6 @@ def audit_cluster(cluster) -> AuditReport:
 _CONFLICTING_STATUS = (("committed", "aborted"), ("committed", "refused"))
 
 
-class HubWireRecord:
-    """Picklable hub-network observations backing :class:`ShardedSafetyAuditor`.
-
-    The hub-side twin of :class:`WireRecord`: it counts distinct
-    transport-level senders of matching client replies per
-    ``(pool, batch)``, which grounds the cross-shard decide-quorum check.
-    Workers attach one to the home runtime's hub network and ship it back
-    with the run artifacts.
-    """
-
-    def __init__(self, pool_ids: Iterable[str] = ()) -> None:
-        self.pool_ids: Set[str] = set(pool_ids)
-        #: (pool_id, batch_id) -> matching_key -> distinct transport senders.
-        self.reply_votes: Dict[Tuple[str, str], Dict[tuple, Set[str]]] = {}
-
-    def observe(self, sender: str, receiver: str, message, time_ms: float) -> None:
-        if receiver in self.pool_ids and isinstance(message, ClientReplyMessage):
-            votes = self.reply_votes.setdefault((receiver, message.batch_id), {})
-            votes.setdefault(message.matching_key(), set()).add(sender)
-
-
 class ShardedSafetyAuditor:
     """Audits a :class:`~repro.fabric.sharding.ShardedCluster` run.
 
@@ -557,24 +506,19 @@ class ShardedSafetyAuditor:
     itself is configured Byzantine (its journal is then meaningless).
     """
 
-    def __init__(self, cluster, observe: bool = True,
-                 shard_wires: Optional[List[WireRecord]] = None,
-                 hub_wire: Optional["HubWireRecord"] = None) -> None:
+    def __init__(self, cluster, observe: bool = True) -> None:
         self.cluster = cluster
         self._shard_auditors = [
-            SafetyAuditor(shard_cluster, observe=observe,
-                          wire=shard_wires[index] if shard_wires else None)
-            for index, shard_cluster in enumerate(cluster.shard_clusters)]
-        self._hub_wire = hub_wire if hub_wire is not None else HubWireRecord(
-            pool.node_id for pool in cluster.pools)
-        self._pool_ids = self._hub_wire.pool_ids
+            SafetyAuditor(shard_cluster, observe=observe)
+            for shard_cluster in cluster.shard_clusters]
+        self._pool_ids: Set[str] = {pool.node_id for pool in cluster.pools}
         #: (pool_id, batch_id) -> matching_key -> distinct transport senders.
-        self._reply_votes = self._hub_wire.reply_votes
+        self._reply_votes: Dict[Tuple[str, str], Dict[tuple, Set[str]]] = {}
         self._shard_of: Dict[str, int] = {}
         for index, members in enumerate(cluster.layout.members):
             for rid in members:
                 self._shard_of[rid] = index
-        self._observing = observe or hub_wire is not None
+        self._observing = observe
         if observe:
             cluster.hub.add_observer(self._observe)
 
@@ -583,25 +527,11 @@ class ShardedSafetyAuditor:
         """Create an auditor observing *cluster* (call before ``start``)."""
         return cls(cluster)
 
-    @classmethod
-    def from_recorded(cls, run) -> "ShardedSafetyAuditor":
-        """Audit a finished run from worker-collected artifacts.
-
-        *run* duck-types a finished :class:`ShardedCluster` (notably
-        ``shard_clusters`` built from shipped replica objects, ``pools``,
-        ``coordinator``, ``layout``, ``byzantine_ids``) and additionally
-        carries the wire recorders every worker attached during the run
-        (``shard_wires``, ``hub_wire``) — the parallel driver's
-        :class:`~repro.fabric.parallel.ParallelShardedRun`.  The exact
-        same invariants run over the exact same ground truth as a live
-        attach.
-        """
-        return cls(run, observe=False,
-                   shard_wires=list(run.shard_wires), hub_wire=run.hub_wire)
-
     # ----------------------------------------------------------- observation
     def _observe(self, sender: str, receiver: str, message, time_ms: float) -> None:
-        self._hub_wire.observe(sender, receiver, message, time_ms)
+        if receiver in self._pool_ids and isinstance(message, ClientReplyMessage):
+            votes = self._reply_votes.setdefault((receiver, message.batch_id), {})
+            votes.setdefault(message.matching_key(), set()).add(sender)
 
     # ----------------------------------------------------------------- audit
     def _honest_managers(self) -> List[List[Tuple[str, object]]]:

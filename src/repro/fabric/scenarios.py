@@ -606,22 +606,11 @@ class ScenarioOutcome:
 
 
 def run_scenario(protocol: str, scenario: str,
-                 params: Optional[ScenarioParams] = None,
-                 driver: str = "sequential") -> ScenarioOutcome:
-    """Run one audited (protocol, scenario) cell and classify the outcome.
-
-    *driver* selects the execution engine for sharded scenarios:
-    ``"sequential"`` (in-process reference) or ``"parallel"`` (one forked
-    worker per shard, identical fingerprints).  Single-group scenarios
-    run on one simulator and are sequential-only.
-    """
+                 params: Optional[ScenarioParams] = None) -> ScenarioOutcome:
+    """Run one audited (protocol, scenario) cell and classify the outcome."""
     params = params or ScenarioParams()
     if scenario in SHARDED_SCENARIOS:
-        return run_sharded_scenario(protocol, scenario, params, driver=driver)
-    if driver != "sequential":
-        raise ValueError(
-            f"scenario {scenario!r} is single-group and sequential-only; "
-            f"driver={driver!r} applies to sharded scenarios")
+        return run_sharded_scenario(protocol, scenario, params)
     try:
         recipe = SCENARIOS[scenario]
     except KeyError:
@@ -676,16 +665,11 @@ def run_scenario(protocol: str, scenario: str,
 
 
 def run_sharded_scenario(protocol: str, scenario: str,
-                         params: Optional[ScenarioParams] = None,
-                         driver: str = "sequential") -> ScenarioOutcome:
+                         params: Optional[ScenarioParams] = None) -> ScenarioOutcome:
     """Run one audited (shard protocol, sharded scenario) cell.
 
     Every shard runs *protocol*; per-shard fault recipes come from the
-    single-group registry, re-run under the shard's namespace.  With
-    ``driver="parallel"`` the shards execute on forked worker processes
-    and the auditor runs over the recorded wire artifacts; the outcome
-    (completions, liveness, audit verdict, view changes) is identical to
-    the sequential reference for the same params.
+    single-group registry, re-run under the shard's namespace.
     """
     from repro.fabric.audit import ShardedSafetyAuditor
     from repro.fabric.sharding import ShardedCluster, ShardedClusterConfig, coordinator_id
@@ -726,24 +710,15 @@ def run_sharded_scenario(protocol: str, scenario: str,
         coordinator_behavior=sdef.coordinator_behavior,
         seed=params.seed,
     )
-    if driver == "parallel":
-        from repro.fabric.parallel import run_parallel
-
-        run = run_parallel(config, max_ms=params.max_ms)
-        report = ShardedSafetyAuditor.from_recorded(run).report()
-    elif driver == "sequential":
-        run = ShardedCluster(config)
-        auditor = ShardedSafetyAuditor.attach(run)
-        run.start()
-        run.run_until_done(max_ms=params.max_ms)
-        report = auditor.report()
-    else:
-        raise ValueError(f"unknown driver {driver!r}; "
-                         f"expected 'sequential' or 'parallel'")
+    cluster = ShardedCluster(config)
+    auditor = ShardedSafetyAuditor.attach(cluster)
+    cluster.start()
+    cluster.run_until_done(max_ms=params.max_ms)
+    report = auditor.report()
     family = protocol_family(protocol)
     view_changes = max(
         (getattr(replica, "view_changes_completed", 0)
-         for shard_cluster in run.shard_clusters
+         for shard_cluster in cluster.shard_clusters
          for replica in shard_cluster.replicas if not replica.crashed),
         default=0,
     )
@@ -751,9 +726,9 @@ def run_sharded_scenario(protocol: str, scenario: str,
         protocol=protocol,
         scenario=scenario,
         n=sdef.num_shards * params.num_replicas,
-        completed_batches=sum(pool.completed_batches for pool in run.pools),
+        completed_batches=sum(pool.completed_batches for pool in cluster.pools),
         expected_batches=params.total_batches * config.num_pools,
-        live=all(pool.is_done() for pool in run.pools),
+        live=all(pool.is_done() for pool in cluster.pools),
         safe=report.ok,
         expected_live=(family, scenario) not in EXPECTED_STALLED,
         expected_safe=(family, scenario) not in EXPECTED_UNSAFE,

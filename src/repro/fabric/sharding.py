@@ -23,15 +23,12 @@ request timeouts it PROBEs every touched shard (unprepared shards refuse —
 presumed abort), derives the only certificate-consistent decision, and
 writes the decide records itself.
 
-Since the parallel-simulation refactor each shard owns its **own**
-:class:`~repro.net.simulator.Simulator` (a :class:`ShardRuntime`); the
-client pools and the coordinator live on a hub network hosted by the home
-runtime (shard 0).  All cross-runtime traffic crosses an explicit
-:class:`ShardBoundary` with deterministic, RNG-free send→deliver
-timestamps, and every driver — the in-process sequential reference here,
-the multiprocessing driver in :mod:`repro.fabric.parallel` — advances the
-runtimes through the same conservative time windows
-(:func:`run_windows`), which is why their fingerprints are byte-identical.
+Each shard owns its **own** :class:`~repro.net.simulator.Simulator` (a
+:class:`ShardRuntime`); the client pools and the coordinator live on a hub
+network hosted by the home runtime (shard 0).  All cross-runtime traffic
+crosses an explicit :class:`ShardBoundary` with deterministic, RNG-free
+send→deliver timestamps, and :meth:`ShardedCluster.run_until_done`
+advances the runtimes through conservative time windows.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from repro.protocols.client_messages import ClientReplyMessage
 from repro.protocols.quorum import VoteSet
 from repro.workload.clients import CompletionRecord, ShardedClientPool
 from repro.workload.xshard import (
-    ABORT,
     COMMIT,
     PREPARE,
     CoordAck,
@@ -61,6 +57,7 @@ from repro.workload.xshard import (
     CrossShardPlan,
     ShardLayout,
     ShardTxnManager,
+    decide_from_outcomes,
     decode_outcome,
     make_control_batch,
     parse_control_batch_id,
@@ -197,13 +194,8 @@ class ShardCoordinator(ClientNode):
             self._send_control(shard, batch, self.node_id, retransmission)
 
     def _decide(self, txn: str, pending: _CoordTxn, now_ms: float) -> None:
-        outcomes = [pending.phase_results[s][0] for s in pending.plan.shards]
-        if any(o == "committed" for o in outcomes):
-            decision = COMMIT
-        elif any(o in ("refused", "aborted") for o in outcomes):
-            decision = ABORT
-        else:
-            decision = COMMIT
+        decision = decide_from_outcomes(
+            pending.phase_results[s][0] for s in pending.plan.shards)
         pending.decision = decision
         pending.cert = tuple(
             (shard,) + pending.phase_results[shard]
@@ -334,11 +326,11 @@ class BoundaryEvent:
     """One message crossing between shard runtimes.
 
     Timestamps are fixed by the *sending* runtime (deterministically, see
-    :meth:`ShardBoundary.transmit`), so the receiving runtime — whichever
-    process it runs in — schedules delivery identically.  ``(deliver_at_ms,
-    source, send_seq)`` is the canonical inbox order: the drivers sort every
-    window's inbox by it before injection, which pins the receiving
-    simulator's tie-breaking sequence numbers across drivers.
+    :meth:`ShardBoundary.transmit`), so delivery never depends on the
+    receiving runtime's RNG.  ``(deliver_at_ms, source, send_seq)`` is the
+    canonical inbox order: every window's inbox is sorted by it before
+    injection, which pins the receiving simulator's tie-breaking sequence
+    numbers.
     """
 
     deliver_at_ms: float
@@ -383,13 +375,13 @@ class ShardBoundary:
 
     * delivers it directly when the receiver lives on a *sibling network
       of the same runtime* (the hub and shard 0 share the home simulator —
-      this fast path is runtime-internal and therefore driver-independent), or
+      this fast path is runtime-internal), or
     * appends it to the runtime's outbox, to be exchanged at the next
       window barrier.
 
     Every delay is at least :attr:`lookahead_ms`, which is what makes the
-    conservative windows of :func:`run_windows` safe: a message sent in
-    the window ``(T, E]`` with ``E = t_min + lookahead`` has
+    conservative windows of :meth:`ShardedCluster.run_until_done` safe: a
+    message sent in the window ``(T, E]`` with ``E = t_min + lookahead`` has
     ``send_time >= t_min`` and so delivers at or after ``E`` — no boundary
     message can ever target the window it was sent in.
     """
@@ -451,19 +443,10 @@ class ShardBoundary:
 
 # -- configuration helpers ---------------------------------------------------------
 
-def _validate_config(config: ShardedClusterConfig) -> None:
-    for shard in range(config.num_shards):
-        if config.protocol_for(shard) == "sbft":
-            raise ValueError(
-                "sbft shards are unsupported: aggregated replies cannot "
-                "produce the f+1 distinct attestations cross-shard "
-                "certificates require")
-
-
 def _hub_conditions(config: ShardedClusterConfig) -> NetworkConditions:
     # dataclasses.replace re-runs __post_init__, so a shared config object
     # yields per-runtime conditions with *independent but identically
-    # seeded* RNGs — each runtime draws the same stream under every driver.
+    # seeded* RNGs — each runtime draws its own, reproducible stream.
     if config.conditions is not None:
         return replace(config.conditions)
     return NetworkConditions.lan(seed=config.seed)
@@ -530,8 +513,7 @@ def _reply_quorum(rule: Optional[str], n: int) -> int:
 
 def layout_for_config(config: ShardedClusterConfig) -> ShardLayout:
     """The shard layout implied by a config, computed without building
-    any cluster — every runtime (in-process or worker) derives the same
-    layout from the config alone."""
+    any cluster."""
     members = []
     quorums = []
     broadcast = []
@@ -564,34 +546,20 @@ def hub_node_config(config: ShardedClusterConfig,
 
 # -- per-shard runtime -------------------------------------------------------------
 
-@dataclass
-class WindowResult:
-    """What one runtime reports back at a window barrier (picklable)."""
-
-    outbox: List[BoundaryEvent]
-    next_event_ms: Optional[float]
-    pools_done: bool
-    now_ms: float
-    processed_events: int
-
-
 class ShardRuntime:
     """One shard's self-contained simulation: simulator, consensus group,
     boundary channel — and, on the home shard, the hub network with the
     client pools and the 2PC coordinator.
 
-    A runtime is built identically from the config whether it lives
-    in-process (sequential driver) or in a forked worker (parallel
-    driver); everything it does between window barriers is a
-    deterministic function of its config and the injected inbox.
+    Everything a runtime does between window barriers is a deterministic
+    function of its config and the injected inbox.
     """
 
     def __init__(self, config: ShardedClusterConfig, shard: int,
-                 layout: Optional[ShardLayout] = None) -> None:
-        _validate_config(config)
+                 layout: ShardLayout) -> None:
         self.config = config
         self.shard = shard
-        self.layout = layout if layout is not None else layout_for_config(config)
+        self.layout = layout
         self.simulator = Simulator()
         self.boundary = ShardBoundary(shard, _hub_conditions(config))
         self.cluster = Cluster(_shard_cluster_config(config, shard),
@@ -603,7 +571,6 @@ class ShardRuntime:
         self.hub: Optional[SimNetwork] = None
         self.coordinator: Optional[ShardCoordinator] = None
         self.pools: List[ShardedClientPool] = []
-        self.byzantine_ids: List[str] = list(self.cluster.byzantine_ids)
         if shard == HOME_SHARD:
             self._build_hub()
 
@@ -643,93 +610,27 @@ class ShardRuntime:
         self.hub.set_byzantine(self.coordinator.node_id, behavior,
                                seed=self.config.seed)
         behavior.install(self.hub.node(self.coordinator.node_id))
-        self.byzantine_ids.append(self.coordinator.node_id)
 
     # -- windowed execution ------------------------------------------------------
-    @property
-    def lookahead_ms(self) -> float:
-        return self.boundary.lookahead_ms
-
-    def start(self) -> WindowResult:
-        """Boot every hosted node at t=0 and report the initial horizon."""
+    def start(self) -> None:
+        """Boot every hosted node at t=0."""
         self.cluster.start()
         if self.hub is not None:
             self.hub.start_all()
-        return self._window_result()
 
-    def window(self, edge_ms: float, inbox: Sequence[BoundaryEvent]) -> WindowResult:
+    def window(self, edge_ms: float, inbox: Sequence[BoundaryEvent]) -> None:
         """Inject one barrier's inbox, then advance to *edge_ms*.
 
         The inbox must already be in canonical order
         (:func:`boundary_event_order`); injection order assigns the
-        receiving simulator's tie-breaking sequence numbers, so it has to
-        match across drivers.
+        receiving simulator's tie-breaking sequence numbers.
         """
         for event in inbox:
             self.boundary.inject(event)
         self.simulator.run(until_ms=edge_ms)
-        return self._window_result()
-
-    def _window_result(self) -> WindowResult:
-        done = all(pool.is_done() for pool in self.pools)
-        return WindowResult(
-            outbox=self.boundary.take_outbox(),
-            next_event_ms=self.simulator.next_event_time(),
-            pools_done=done,
-            now_ms=self.simulator.now,
-            processed_events=self.simulator.processed_events,
-        )
 
 
-def run_windows(results: List[WindowResult], window_all,
-                num_runtimes: int, lookahead_ms: float,
-                deadline_ms: float) -> List[WindowResult]:
-    """Advance all runtimes through conservative windows until done.
-
-    The single windowing loop shared by both drivers: given the
-    :class:`WindowResult` list from ``start()`` (or a previous call) and a
-    ``window_all(edge_ms, inboxes) -> results`` callback that advances
-    every runtime to the window edge, it exchanges outboxes into
-    per-runtime inboxes at each barrier and picks the next edge as
-    ``min(horizons) + lookahead`` — where the horizons are every runtime's
-    next live event plus every in-flight boundary event.  It stops when
-
-    * every pool reported its budget complete, or
-    * all runtimes are quiescent and the boundary channels are empty
-      (nothing can ever happen again), or
-    * the next horizon lies at or beyond *deadline_ms*.
-
-    The completion predicate is therefore identical under the sequential
-    and the parallel driver — both ask the same per-runtime questions at
-    the same barriers.
-    """
-    while True:
-        inboxes: List[List[BoundaryEvent]] = [[] for _ in range(num_runtimes)]
-        for result in results:
-            for event in result.outbox:
-                inboxes[runtime_of(event.receiver)].append(event)
-        for inbox in inboxes:
-            inbox.sort(key=boundary_event_order)
-        if all(result.pools_done for result in results):
-            break
-        horizons = [result.next_event_ms for result in results
-                    if result.next_event_ms is not None]
-        for inbox in inboxes:
-            for event in inbox:
-                horizons.append(event.deliver_at_ms)
-        if not horizons:
-            break
-        t_min = min(horizons)
-        if t_min >= deadline_ms:
-            break
-        edge = t_min + lookahead_ms
-        if edge > deadline_ms:
-            edge = deadline_ms
-        results = window_all(edge, inboxes)
-    return results
-
-
-# -- the sharded cluster (sequential reference driver) -----------------------------
+# -- the sharded cluster -----------------------------------------------------------
 
 class ShardedCluster:
     """S per-shard runtimes, a coordinator and sharded client pools.
@@ -738,18 +639,20 @@ class ShardedCluster:
     :class:`ShardRuntime`; the client pools and the coordinator live on a
     hub network hosted by the home runtime.  Cross-runtime traffic crosses
     the deterministic :class:`ShardBoundary`, and :meth:`run_until_done`
-    advances all runtimes through the shared conservative window loop
-    (:func:`run_windows`) — in-process, in shard order.  This is the
-    reference implementation the multiprocessing driver
-    (:mod:`repro.fabric.parallel`) must match byte for byte.
+    advances all runtimes, in shard order, through conservative windows.
     """
 
     def __init__(self, config: ShardedClusterConfig) -> None:
-        _validate_config(config)
+        for shard in range(config.num_shards):
+            if config.protocol_for(shard) == "sbft":
+                raise ValueError(
+                    "sbft shards are unsupported: aggregated replies cannot "
+                    "produce the f+1 distinct attestations cross-shard "
+                    "certificates require")
         self.config = config
         self.layout = layout_for_config(config)
         self.runtimes: List[ShardRuntime] = [
-            ShardRuntime(config, shard, layout=self.layout)
+            ShardRuntime(config, shard, self.layout)
             for shard in range(config.num_shards)]
         home = self.runtimes[HOME_SHARD]
         self.shard_clusters: List[Cluster] = [
@@ -762,12 +665,14 @@ class ShardedCluster:
             rid for cluster in self.shard_clusters for rid in cluster.byzantine_ids]
         if self.coordinator is not None and config.coordinator_behavior:
             self.byzantine_ids.append(self.coordinator.node_id)
-        self._results: Optional[List[WindowResult]] = None
+        #: Boundary events collected at the last barrier, per receiving
+        #: runtime and in canonical order; ``None`` until :meth:`start`.
+        self._inboxes: Optional[List[List[BoundaryEvent]]] = None
 
     # -- introspection -----------------------------------------------------------
     @property
     def lookahead_ms(self) -> float:
-        return self.runtimes[0].lookahead_ms
+        return self.runtimes[0].boundary.lookahead_ms
 
     @property
     def now(self) -> float:
@@ -793,23 +698,54 @@ class ShardedCluster:
     # -- running -----------------------------------------------------------------
     def start(self) -> None:
         """Boot every runtime (shards, then hub nodes on the home shard)."""
-        self._results = [runtime.start() for runtime in self.runtimes]
+        for runtime in self.runtimes:
+            runtime.start()
+        self._inboxes = self._exchange()
+
+    def _exchange(self) -> List[List[BoundaryEvent]]:
+        """Drain every runtime's outbox into canonically ordered inboxes."""
+        inboxes: List[List[BoundaryEvent]] = [[] for _ in self.runtimes]
+        for runtime in self.runtimes:
+            for event in runtime.boundary.take_outbox():
+                inboxes[runtime_of(event.receiver)].append(event)
+        for inbox in inboxes:
+            inbox.sort(key=boundary_event_order)
+        return inboxes
 
     def run_until_done(self, max_ms: float = 600_000.0) -> float:
-        """Advance conservative windows until every pool is done, all
-        runtimes are quiescent with empty boundary channels, or *max_ms*
-        of virtual time elapsed."""
-        if self._results is None:
+        """Advance conservative windows until done.
+
+        At each barrier the next window edge is ``min(horizons) +
+        lookahead``, where the horizons are every runtime's next live
+        event plus every in-flight boundary event.  The run stops when
+
+        * every pool reported its budget complete, or
+        * all runtimes are quiescent and the boundary channels are empty
+          (nothing can ever happen again), or
+        * the next horizon lies at or beyond ``now + max_ms``.
+        """
+        if self._inboxes is None:
             raise RuntimeError("call start() before run_until_done()")
-
-        def window_all(edge_ms: float,
-                       inboxes: List[List[BoundaryEvent]]) -> List[WindowResult]:
-            return [runtime.window(edge_ms, inbox)
-                    for runtime, inbox in zip(self.runtimes, inboxes)]
-
-        self._results = run_windows(
-            self._results, window_all, len(self.runtimes),
-            self.lookahead_ms, self.now + max_ms)
+        deadline_ms = self.now + max_ms
+        lookahead_ms = self.lookahead_ms
+        while not all(pool.is_done() for pool in self.pools):
+            horizons = [event.deliver_at_ms
+                        for inbox in self._inboxes for event in inbox]
+            for runtime in self.runtimes:
+                next_ms = runtime.simulator.next_event_time()
+                if next_ms is not None:
+                    horizons.append(next_ms)
+            if not horizons:
+                break
+            t_min = min(horizons)
+            if t_min >= deadline_ms:
+                break
+            edge = t_min + lookahead_ms
+            if edge > deadline_ms:
+                edge = deadline_ms
+            for runtime, inbox in zip(self.runtimes, self._inboxes):
+                runtime.window(edge, inbox)
+            self._inboxes = self._exchange()
         return self.now
 
     # -- results -----------------------------------------------------------------
@@ -823,53 +759,36 @@ class ShardedCluster:
     def result(self, window: Optional[MetricsWindow] = None,
                warmup_fraction: float = 0.1,
                metadata: Optional[Dict[str, object]] = None) -> RunResult:
-        return summarize_sharded(
-            self.config, self.completions(),
-            [cluster.config.protocol for cluster in self.shard_clusters],
-            window=window, warmup_fraction=warmup_fraction,
-            metadata=metadata)
-
-
-def summarize_sharded(config: ShardedClusterConfig,
-                      records: List[CompletionRecord],
-                      protocols: List[str],
-                      window: Optional[MetricsWindow] = None,
-                      warmup_fraction: float = 0.1,
-                      metadata: Optional[Dict[str, object]] = None) -> RunResult:
-    """Summarise a sharded run's completions (shared by both drivers)."""
-    if window is None and records:
-        start_index = int(len(records) * warmup_fraction)
-        start_index = min(start_index, len(records) - 1)
-        measured = records[start_index:]
-        last_submission = max(record.submitted_at_ms for record in measured)
-        window = MetricsWindow(
-            start_ms=min(measured[0].completed_at_ms, last_submission),
-            end_ms=measured[-1].completed_at_ms,
+        """Summarise the run's completions."""
+        config = self.config
+        records = self.completions()
+        if window is None and records:
+            start_index = int(len(records) * warmup_fraction)
+            start_index = min(start_index, len(records) - 1)
+            measured = records[start_index:]
+            last_submission = max(record.submitted_at_ms for record in measured)
+            window = MetricsWindow(
+                start_ms=min(measured[0].completed_at_ms, last_submission),
+                end_ms=measured[-1].completed_at_ms,
+            )
+        info = {
+            "batch_size": config.batch_size,
+            "num_shards": config.num_shards,
+            "cross_shard_fraction": config.cross_shard_fraction,
+        }
+        info.update(metadata or {})
+        protocols = [cluster.config.protocol for cluster in self.shard_clusters]
+        return summarize(
+            protocol=f"sharded[{'+'.join(protocols)}]",
+            n=config.num_shards * config.num_replicas,
+            completions=records,
+            window=window,
+            metadata=info,
         )
-    info = {
-        "batch_size": config.batch_size,
-        "num_shards": config.num_shards,
-        "cross_shard_fraction": config.cross_shard_fraction,
-    }
-    info.update(metadata or {})
-    return summarize(
-        protocol=f"sharded[{'+'.join(protocols)}]",
-        n=config.num_shards * config.num_replicas,
-        completions=records,
-        window=window,
-        metadata=info,
-    )
 
 
-def fingerprint_state(run) -> str:
-    """Hash everything observable about a finished sharded run.
-
-    *run* is either a :class:`ShardedCluster` or the parallel driver's
-    artifact view — anything exposing ``shard_processed_events``,
-    ``shard_clocks``, ``shard_clusters`` (each with ``replicas``),
-    ``pools`` and ``coordinator``.  Both drivers fold the exact same
-    state, which is what the byte-identical acceptance test compares.
-    """
+def fingerprint_state(cluster: ShardedCluster) -> str:
+    """Hash everything observable about a finished sharded run."""
     hasher = hashlib.sha256()
 
     def fold(*parts: object) -> None:
@@ -877,8 +796,9 @@ def fingerprint_state(run) -> str:
             hasher.update(repr(part).encode())
             hasher.update(b"|")
 
-    fold("events", tuple(run.shard_processed_events), tuple(run.shard_clocks))
-    for shard_cluster in run.shard_clusters:
+    fold("events", tuple(cluster.shard_processed_events),
+         tuple(cluster.shard_clocks))
+    for shard_cluster in cluster.shard_clusters:
         for replica in shard_cluster.replicas:
             fold(replica.node_id, replica.crashed,
                  replica.last_executed_sequence)
@@ -891,36 +811,27 @@ def fingerprint_state(run) -> str:
                      sorted((txn, entry[0])
                             for txn, entry in manager.accepted_decides.items()),
                      sorted(manager.rejected_decides))
-    for pool in run.pools:
+    for pool in cluster.pools:
         fold(pool.node_id,
              [(r.batch_id, r.view, r.sequence, r.completed_at_ms)
               for r in pool.completions],
              sorted((txn, sorted(outcomes.items()))
                     for txn, outcomes in pool.xshard_outcomes.items()))
-    if run.coordinator is not None:
+    if cluster.coordinator is not None:
         fold(sorted((txn, entry["decision"], entry["shards"])
-                    for txn, entry in run.coordinator.journal.items()))
+                    for txn, entry in cluster.coordinator.journal.items()))
     return hasher.hexdigest()
 
 
 def sharded_fingerprint(config: ShardedClusterConfig,
-                        max_ms: float = 600_000.0,
-                        driver: str = "sequential") -> str:
+                        max_ms: float = 600_000.0) -> str:
     """Run a sharded deployment and hash everything observable about it.
 
     Folds per-replica ledger heads and 2PC journals, pool completions and
     cross-shard outcomes, the coordinator journal and per-runtime event
     counts into one digest.  Two runs of the same config must produce the
-    same fingerprint — under *either* driver (``"sequential"`` or
-    ``"parallel"``): that cross-driver equality is the acceptance test of
-    the parallel executor.
+    same fingerprint.
     """
-    if driver == "parallel":
-        from repro.fabric.parallel import run_parallel
-
-        return fingerprint_state(run_parallel(config, max_ms=max_ms))
-    if driver != "sequential":
-        raise ValueError(f"unknown sharded driver {driver!r}")
     cluster = ShardedCluster(config)
     cluster.start()
     cluster.run_until_done(max_ms=max_ms)

@@ -73,10 +73,6 @@ class SpeculativeExecutor:
         self.last_executed_sequence = -1
 
     # -- inspection --------------------------------------------------------------
-    @property
-    def executed_sequences(self) -> List[int]:
-        return sorted(self._executed)
-
     def executed(self, sequence: int) -> Optional[ExecutedBatch]:
         return self._executed.get(sequence)
 

@@ -103,7 +103,7 @@ class LatencyTopology:
     def min_latency_ms(self) -> float:
         """Lower bound on :meth:`latency_ms` over all links and all times.
 
-        Used as the conservative lookahead for parallel sharded runs: no
+        Used as the conservative lookahead of windowed sharded runs: no
         message can ever propagate faster than this, whatever the drift
         schedule does.
         """
@@ -164,11 +164,6 @@ class NetworkConditions:
         return cls(latency_ms=0.5, jitter_ms=0.05, bandwidth_mbps=2000.0, seed=seed)
 
     @classmethod
-    def wan(cls, latency_ms: float = 40.0, seed: int = 1) -> "NetworkConditions":
-        """Wide-area conditions used by the Figure 11 style experiments."""
-        return cls(latency_ms=latency_ms, jitter_ms=0.5, bandwidth_mbps=1000.0, seed=seed)
-
-    @classmethod
     def uniform_delay(cls, delay_ms: float, seed: int = 1) -> "NetworkConditions":
         """Fixed delay, no jitter, no bandwidth limit (pure Figure 11 model)."""
         return cls(latency_ms=delay_ms, jitter_ms=0.0, bandwidth_mbps=None,
@@ -225,13 +220,14 @@ class NetworkConditions:
             return propagation
         return propagation + self.serialization_delay_ms(size_bytes)
 
-    # -- Deterministic boundary model (parallel sharded runs) ------------
+    # -- Deterministic boundary model (windowed sharded runs) ------------
     #
-    # Cross-shard traffic must carry send->deliver timestamps that every
-    # driver (sequential reference, multiprocessing workers) computes
-    # identically without sharing an RNG stream.  The boundary therefore
-    # charges the *base* latency only: overrides and (drifting) topology
-    # still apply, jitter and loss do not.
+    # Cross-shard send->deliver timestamps are a pure function of sender,
+    # receiver, size and send time, with no RNG draw: the conservative
+    # lookahead then bounds every boundary delay from below, and
+    # cross-shard traffic never shifts a shard's own latency stream.  The
+    # boundary therefore charges the *base* latency only: overrides and
+    # (drifting) topology still apply, jitter and loss do not.
 
     def boundary_latency_ms(self, sender: str, receiver: str,
                             now_ms: float = 0.0) -> float:
@@ -253,7 +249,7 @@ class NetworkConditions:
     def min_propagation_ms(self) -> float:
         """Lower bound on :meth:`boundary_latency_ms` over links and time.
 
-        This is the conservative-parallel lookahead: a shard simulator at
+        This is the conservative-window lookahead: a shard simulator at
         virtual time ``t`` cannot be affected by any boundary message sent
         at or after ``t`` until ``t + min_propagation_ms()``, so all
         simulators may safely advance that far between exchanges.

@@ -105,11 +105,6 @@ class Simulator:
         """Number of events executed so far (for run-length guards)."""
         return self._processed_events
 
-    @property
-    def pending_events(self) -> int:
-        """Heap entries not yet popped (cancelled entries included)."""
-        return len(self._queue)
-
     # -- scheduling ----------------------------------------------------------
     def schedule(self, delay_ms: float, callback: Callable[[], None]) -> Event:
         """Schedule *callback* to run ``delay_ms`` from now."""
@@ -230,9 +225,9 @@ class Simulator:
         Cancelled heap entries encountered on the way are discarded (they
         would be skipped by :meth:`run` anyway and never count as
         processed), so the probe is amortised O(1) and leaves the head of
-        the heap live.  The windowed sharded drivers use this as each
-        runtime's horizon when computing the next conservative window
-        edge; it never runs callbacks and never moves the clock.
+        the heap live.  Windowed sharded runs use this as each runtime's
+        horizon when computing the next conservative window edge; it never
+        runs callbacks and never moves the clock.
         """
         queue = self._queue
         cancelled = self._cancelled

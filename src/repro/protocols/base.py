@@ -367,9 +367,6 @@ class ProtocolNode(_ActionCollector, abc.ABC):
         if cost > 0.0:
             self._pending_cpu_ms += cost
 
-    def charge_base_processing(self) -> None:
-        self._pending_cpu_ms += self._base_processing_ms
-
     def charge_execution(self, num_txns: int) -> None:
         self.add_cpu(self.config.execution_ms_per_txn * num_txns)
 

@@ -605,25 +605,14 @@ class ShardedClientPool(ClientNode):
 
     def _decide_from_results(self, txn: str, pending: _PendingXShard,
                              now_ms: float) -> None:
-        """Turn per-shard vote certificates into the one consistent decision.
-
-        Any *committed* shard forces commit (a valid commit certificate
-        once existed, so every shard prepared); otherwise any refusal or
-        abort forces abort (presumed abort); otherwise every shard stands
-        prepared and the transaction commits.
-        """
-        from repro.workload.xshard import ABORT, COMMIT
+        """Turn per-shard vote certificates into the one consistent decision
+        (:func:`~repro.workload.xshard.decide_from_outcomes`)."""
+        from repro.workload.xshard import decide_from_outcomes
 
         outcomes = [pending.phase_results[s][0]
                     for s in pending.plan.shards if s in pending.phase_results]
         outcomes.extend(state[0] for state in pending.decided.values())
-        if any(o == "committed" for o in outcomes):
-            decision = COMMIT
-        elif any(o in ("refused", "aborted") for o in outcomes):
-            decision = ABORT
-        else:
-            decision = COMMIT
-        pending.decision = decision
+        pending.decision = decide_from_outcomes(outcomes)
         claims = []
         for shard in pending.plan.shards:
             # A shard that already reached a terminal decide quorum attests

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.hashing import digest
 from repro.protocols.base import Message
@@ -136,6 +136,23 @@ def decode_outcome(result_digest: bytes, txn: str, phase: str,
         if control_result_digest(txn, phase, shard, outcome) == result_digest:
             return outcome
     return None
+
+
+def decide_from_outcomes(outcomes: Iterable[str]) -> str:
+    """The one 2PC decision consistent with the shards' reported outcomes.
+
+    Any *committed* shard forces commit (a valid commit certificate once
+    existed, so every shard prepared); otherwise any refusal or abort
+    forces abort (presumed abort); otherwise every shard stands prepared
+    and the transaction commits.  The coordinator and a recovering client
+    pool both decide through this rule.
+    """
+    outcomes = set(outcomes)
+    if "committed" in outcomes:
+        return COMMIT
+    if "refused" in outcomes or "aborted" in outcomes:
+        return ABORT
+    return COMMIT
 
 
 def parse_control_batch_id(batch_id: str) -> Optional[Tuple[str, str, int]]:

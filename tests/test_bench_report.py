@@ -2,6 +2,7 @@
 
 
 
+from repro.bench.perf import parse_sharded_label
 from repro.bench.report import format_table, print_results, print_series
 
 
@@ -131,3 +132,10 @@ class TestPerfDeltaMode:
         problems = check_processed_events(results, expectations)
         assert problems == ["scale mismatch: expectations are for 'quick', "
                             "run is 'paper'"]
+
+
+def test_parse_sharded_label_roundtrip():
+    assert parse_sharded_label("poe-2sh-x20") == ("poe", 2, 0.2)
+    assert parse_sharded_label("poe-mac-8sh-x0") == ("poe-mac", 8, 0.0)
+    assert parse_sharded_label("poe-mac") is None
+    assert parse_sharded_label("pbft") is None

@@ -15,7 +15,9 @@ every touched shard.  These tests pin:
   knocked out (the guard an equivocating coordinator is held back by),
   the shard-aware auditor still detects the split commit/abort — its own
   validator is bound at import time precisely so it cannot be disabled
-  together with the runtime one.
+  together with the runtime one;
+* the one 2PC decision rule, the canonical barrier inbox order, and the
+  fingerprints of the canonical cross-shard runs.
 """
 
 import pytest
@@ -31,11 +33,14 @@ from repro.fabric.scenarios import (
     run_scenario,
 )
 from repro.fabric.sharding import (
+    BoundaryEvent,
     ShardedCluster,
     ShardedClusterConfig,
     coordinator_id,
+    sharded_fingerprint,
 )
 from repro.net.faults import FaultSchedule
+from repro.workload.xshard import ABORT, COMMIT, decide_from_outcomes
 
 #: The acceptance seeds every sharded matrix cell must pass on.
 ACCEPTANCE_SEEDS = (3, 7, 42, 99)
@@ -208,3 +213,111 @@ def test_sharded_auditor_attaches_like_the_single_group_one():
     cluster.run_until_done(max_ms=600_000.0)
     report = auditor.check()  # raises on violation
     assert report.ok
+
+
+# ------------------------------------------------------------ 2PC decision
+@pytest.mark.parametrize("outcomes, decision", [
+    (("prepared",), COMMIT),
+    (("prepared", "prepared"), COMMIT),
+    (("committed",), COMMIT),
+    (("prepared", "committed"), COMMIT),
+    (("committed", "refused"), COMMIT),
+    (("committed", "aborted"), COMMIT),
+    (("refused",), ABORT),
+    (("aborted",), ABORT),
+    (("prepared", "refused"), ABORT),
+    (("prepared", "aborted"), ABORT),
+    (("refused", "aborted"), ABORT),
+    (("prepared", "refused", "committed"), COMMIT),
+])
+def test_decide_from_outcomes(outcomes, decision):
+    """Committed beats everything (a commit certificate once existed),
+    then any refusal or abort forces abort, else commit — whatever the
+    order the shards reported in."""
+    assert decide_from_outcomes(outcomes) == decision
+    assert decide_from_outcomes(reversed(outcomes)) == decision
+
+
+# ---------------------------------------------------- pinned fingerprints
+def _fingerprint_config(scenario: str, seed: int,
+                        num_shards: int = 2) -> ShardedClusterConfig:
+    """The config shapes behind the canonical cross-shard scenarios, at
+    test-sized batch budgets."""
+    hub_faults = None
+    coordinator_behavior = None
+    if scenario == "xshard-crash-2pc":
+        hub_faults = FaultSchedule().add_crash(coordinator_id(), at_ms=3.0)
+    elif scenario == "xshard-coordinator-equivocate":
+        coordinator_behavior = "equivocate-coordinator"
+    else:
+        assert scenario == "xshard-no-fault"
+    return ShardedClusterConfig(
+        num_shards=num_shards, protocols="poe-mac", num_replicas=4,
+        batch_size=10, total_batches=12, cross_shard_fraction=0.3,
+        request_timeout_ms=100.0, hub_faults=hub_faults,
+        coordinator_behavior=coordinator_behavior, seed=seed,
+    )
+
+
+def test_barrier_exchange_routes_and_sorts_inboxes():
+    """Inboxes go to the receiver's runtime in canonical
+    ``(deliver_at_ms, source, send_seq)`` order, whatever order the
+    runtimes' outboxes are drained in.  The pinned runs below never carry
+    two cross-source events with the same delivery time, so only this
+    test sees the sort."""
+    cluster = ShardedCluster(ShardedClusterConfig(
+        num_shards=3, protocols="poe-mac", num_replicas=4, seed=3))
+
+    def event(deliver_at_ms, source, send_seq, receiver="pool:0"):
+        return BoundaryEvent(
+            deliver_at_ms=deliver_at_ms, source=source, send_seq=send_seq,
+            sender=f"s{source}/replica:0", receiver=receiver, message=None,
+            send_time_ms=0.0)
+
+    cluster.runtimes[1].boundary._outbox.extend(
+        [event(1.0, 1, 5), event(0.5, 1, 6), event(2.0, 1, 7, "s2/replica:1")])
+    cluster.runtimes[2].boundary._outbox.append(event(1.0, 2, 0))
+    inboxes = cluster._exchange()
+    assert [(e.deliver_at_ms, e.source, e.send_seq) for e in inboxes[0]] == [
+        (0.5, 1, 6), (1.0, 1, 5), (1.0, 2, 0)]
+    assert inboxes[1] == []
+    assert [e.receiver for e in inboxes[2]] == ["s2/replica:1"]
+    assert all(not runtime.boundary.take_outbox() for runtime in cluster.runtimes)
+
+
+#: Fingerprints of the windowed runs: a change to the window edge, the
+#: stop predicate or to what a run does moves these digests.
+PINNED_FINGERPRINTS = {
+    ("xshard-no-fault", 3):
+        "f50c003ffddf2548c2b412495aa102a089e526de9a665238ca2fd99faf844bcb",
+    ("xshard-no-fault", 7):
+        "e6c6e24d2f032ed4a6c7fb46205e4972f7d8845764de10d0187a532c0184bc54",
+    ("xshard-no-fault", 42):
+        "bb17de6d8b06ec48f4b9c3d7be185470f44f23b61faef83e3f51f003bd74e303",
+    ("xshard-crash-2pc", 3):
+        "41c787821a2f4d33355f1de795b265e8b6e124367893669311bf1e19d4c16261",
+    ("xshard-crash-2pc", 7):
+        "8af71e846ea0c6dc302de250c1d14a83a31467676c496d4c32f488fed494fab5",
+    ("xshard-crash-2pc", 42):
+        "5cecd3fe2e9f6c042df68f887d04683bd3343705c073bb240e57cd7d390073a6",
+    ("xshard-coordinator-equivocate", 3):
+        "a1eb0eab5ac473cfeda4f0e9834b539d918a368fd4a1b83d3be6a854d13974b2",
+    ("xshard-coordinator-equivocate", 7):
+        "53dfe4b8179f71a1172609c4aee073e6b1d769a51a6b2782dfbbe7754ded0ab3",
+    ("xshard-coordinator-equivocate", 42):
+        "b1fafd9a33a35a309bae6a7dc3ec5213fed9041953b1254ebb009e3206ecfdf8",
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, seed", list(PINNED_FINGERPRINTS),
+    ids=[f"{scenario}-{seed}" for scenario, seed in PINNED_FINGERPRINTS])
+def test_sharded_fingerprint_pinned(scenario, seed):
+    assert (sharded_fingerprint(_fingerprint_config(scenario, seed))
+            == PINNED_FINGERPRINTS[scenario, seed])
+
+
+def test_sharded_fingerprint_pinned_four_shards():
+    config = _fingerprint_config("xshard-no-fault", seed=3, num_shards=4)
+    assert sharded_fingerprint(config) == (
+        "f021f9d6ba42dd896e66b59543ae43911290a4c5c6a653246d07be1cfe5aa28d")
